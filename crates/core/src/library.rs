@@ -49,10 +49,11 @@ use apx_dist::{fnv1a64, FNV1A64_OFFSET};
 use apx_gates::Netlist;
 use apx_metrics::{CircuitEvaluator, ErrorStats};
 use apx_techlib::{area_of, TechLibrary};
-use apx_verify::{functional_digest, has_errors, lint_component, wmed_bounds_weighted, Diagnostic};
+use apx_verify::{has_errors, lint_component, BracketProfile, Diagnostic};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Which exploration produced a library candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,6 +99,37 @@ pub struct LibraryEntry {
     pub digest: u128,
     /// Where the candidate came from.
     pub provenance: Provenance,
+    /// The distribution-independent semantic facts of `netlist` (its
+    /// functional digest and WMED-bracket profile), built on first use
+    /// and shared by every later dedup and re-scoring pass.
+    profile: OnceLock<BracketProfile>,
+}
+
+impl LibraryEntry {
+    fn new(
+        name: String,
+        chromosome: Chromosome,
+        netlist: Netlist,
+        op: Operator,
+        width: u32,
+        signed: bool,
+        provenance: Provenance,
+    ) -> Self {
+        let digest = netlist_digest(&netlist);
+        let profile = OnceLock::new();
+        Self { name, chromosome, netlist, op, width, signed, digest, provenance, profile }
+    }
+
+    /// The candidate's [`BracketProfile`]: one BDD build of `netlist`
+    /// as a `width`-bit `op` instance, made on first call and cached.
+    /// [`ComponentLibrary::dedup_semantic`] reads its digest and
+    /// [`ComponentLibrary::rescore_pruned`] its brackets, so each
+    /// candidate is analysed once however many distributions re-score
+    /// it. The cache describes `netlist` as it was at that first call.
+    pub(crate) fn profile(&self) -> &BracketProfile {
+        self.profile
+            .get_or_init(|| BracketProfile::new(&self.netlist, self.op, self.width, self.signed))
+    }
 }
 
 /// 128-bit structural digest of a netlist's *compacted* form: dead nodes
@@ -235,17 +267,15 @@ impl ComponentLibrary {
             self.rejected.push((scanned.key, diags));
             return false;
         }
-        let name = format!("evo_{}", &scanned.key.hex()[..12]);
-        let entry = LibraryEntry {
-            name,
-            digest: netlist_digest(&scanned.circuit.netlist),
-            chromosome: scanned.circuit.chromosome.clone(),
-            netlist: scanned.circuit.netlist.clone(),
-            op: scanned.op,
-            width: scanned.width,
-            signed: scanned.signed,
-            provenance: Provenance::Evolved { source_key: scanned.key },
-        };
+        let entry = LibraryEntry::new(
+            format!("evo_{}", &scanned.key.hex()[..12]),
+            scanned.circuit.chromosome.clone(),
+            scanned.circuit.netlist.clone(),
+            scanned.op,
+            scanned.width,
+            scanned.signed,
+            Provenance::Evolved { source_key: scanned.key },
+        );
         let added = self.insert(entry);
         self.exact
             .insert(scanned.key, (scanned.op, scanned.width, scanned.signed, scanned.circuit));
@@ -270,16 +300,15 @@ impl ComponentLibrary {
                 continue;
             };
             let netlist = chromosome.decode_active();
-            let entry = LibraryEntry {
-                name: e.name.clone(),
-                digest: netlist_digest(&netlist),
+            let entry = LibraryEntry::new(
+                e.name.clone(),
                 chromosome,
                 netlist,
-                op: Operator::Mul,
-                width: lib.width(),
-                signed: lib.is_signed(),
-                provenance: Provenance::Conventional { family: e.family },
-            };
+                Operator::Mul,
+                lib.width(),
+                lib.is_signed(),
+                Provenance::Conventional { family: e.family },
+            );
             if self.insert(entry) {
                 added += 1;
             }
@@ -315,16 +344,15 @@ impl ComponentLibrary {
                 continue;
             };
             let netlist = chromosome.decode_active();
-            let entry = LibraryEntry {
+            let entry = LibraryEntry::new(
                 name,
-                digest: netlist_digest(&netlist),
                 chromosome,
                 netlist,
-                op: Operator::Add,
+                Operator::Add,
                 width,
-                signed: false,
-                provenance: Provenance::Conventional { family },
-            };
+                false,
+                Provenance::Conventional { family },
+            );
             if self.insert(entry) {
                 added += 1;
             }
@@ -359,13 +387,20 @@ impl ComponentLibrary {
     /// and the rejected list are untouched — key-addressed replays do
     /// not depend on which candidate represents a function class.
     ///
+    /// Cost: the digest comes from each entry's cached
+    /// [`BracketProfile`], so this pass pays one BDD build per entry not
+    /// yet profiled (the same build later re-scoring passes
+    /// read their brackets from) and nothing for the rest. The result
+    /// does not depend on whether, or under which distributions, the
+    /// library was re-scored first.
+    ///
     /// Returns how many entries this call removed; the running total is
     /// [`semantic_dups`](Self::semantic_dups).
     pub fn dedup_semantic(&mut self, tech: &TechLibrary) -> usize {
         let mut classes: HashMap<(Operator, u32, bool, u128), usize> = HashMap::new();
         let mut keep = vec![true; self.entries.len()];
         for (i, entry) in self.entries.iter().enumerate() {
-            let Some(fd) = functional_digest(&entry.netlist) else {
+            let Some(fd) = entry.profile().digest() else {
                 continue; // budget-capped: keep under structural identity
             };
             let class = (entry.op, entry.width, entry.signed, fd);
@@ -425,9 +460,10 @@ impl ComponentLibrary {
 
     /// [`rescore`](Self::rescore) with an optional `apx_verify`
     /// bound-analysis pre-pass: before paying the batched exhaustive
-    /// statistics, each candidate gets a provable WMED bracket
-    /// ([`wmed_bounds_weighted`]), and a candidate is dropped when it
-    /// provably cannot influence any selection the sweep makes under
+    /// statistics, each candidate gets a provable WMED bracket from its
+    /// cached [`BracketProfile`] (bit-identical to
+    /// [`apx_verify::wmed_bounds_weighted`]), and a candidate is dropped
+    /// when it provably cannot influence any selection the sweep makes under
     /// `policy` — its *lower* bound exceeds every configured threshold
     /// (so it can never be a [`best_meeting`](RescoredLibrary::best_meeting)
     /// hit) **and** at least [`max_seeds`](PrunePolicy::max_seeds) other
@@ -445,6 +481,13 @@ impl ComponentLibrary {
     /// pruned ranking may omit small-area/high-error front members;
     /// consumers that need the full front (the cache GC) use the unpruned
     /// [`rescore`](Self::rescore).
+    ///
+    /// Cost of the pre-pass: one BDD build per candidate over the
+    /// library's lifetime (shared with
+    /// [`dedup_semantic`](Self::dedup_semantic)), plus one ternary row
+    /// per weighted operand value not yet seen under an earlier
+    /// distribution; the bracket itself is then a weighted sum over the
+    /// cached rows. The analysis runs serially on the calling thread.
     #[must_use]
     pub fn rescore_pruned(
         &self,
@@ -461,18 +504,8 @@ impl ComponentLibrary {
             // With `max_seeds` or fewer candidates nothing can ever be
             // dropped, so skip the bound pass entirely.
             if matching.len() > policy.max_seeds {
-                let bounds: Vec<_> = matching
-                    .iter()
-                    .map(|e| {
-                        wmed_bounds_weighted(
-                            &e.netlist,
-                            evaluator.operator(),
-                            evaluator.width(),
-                            evaluator.is_signed(),
-                            evaluator.weights(),
-                        )
-                    })
-                    .collect();
+                let bounds: Vec<_> =
+                    matching.iter().map(|e| e.profile().bounds(evaluator.weights())).collect();
                 let keep: Vec<bool> = bounds
                     .iter()
                     .map(|b| {
@@ -923,5 +956,81 @@ mod tests {
         // A policy that cannot prune (enough seeds wanted) is a no-op.
         let lax = PrunePolicy { max_threshold: 0.02, max_seeds: lib.len() };
         assert_eq!(lib.rescore_pruned(&eval, &tech, 2, Some(&lax)).pruned(), 0);
+    }
+
+    /// Constant candidates (one provably hopeless), a structurally
+    /// distinct re-implementation of the all-zero candidate (`x ^ x` on
+    /// every output — a semantic duplicate) and truncated multipliers.
+    fn retarget_library() -> ComponentLibrary {
+        let (op, width) = (Operator::Mul, 3);
+        let mut lib = ComponentLibrary::new();
+        for (i, pattern) in [63u64, 0, 1, 2, 5].into_iter().enumerate() {
+            assert!(lib.ingest_scanned(constant_scanned(op, width, pattern, 40 + i as u64)));
+        }
+        let mut b = apx_gates::NetlistBuilder::new(op.num_inputs(width));
+        let x = b.input(0);
+        let zero = b.xor(x, x);
+        b.outputs(&vec![zero; op.num_outputs(width)]);
+        assert!(lib.ingest_scanned(scanned_from(op, width, b.finish().unwrap(), 50)));
+        for k in 1..=3 {
+            let nl = apx_arith::truncated_multiplier(width, k);
+            assert!(lib.ingest_scanned(scanned_from(op, width, nl, 60 + u64::from(k))));
+        }
+        lib
+    }
+
+    fn assert_same_rescore(a: &RescoredLibrary<'_>, b: &RescoredLibrary<'_>) {
+        assert_eq!(a.pruned(), b.pruned());
+        assert_eq!(a.candidates().len(), b.candidates().len());
+        for (x, y) in a.candidates().iter().zip(b.candidates()) {
+            assert_eq!(x.entry.name, y.entry.name, "ranking order");
+            assert_eq!(x.stats, y.stats);
+            assert_eq!(x.stats.wmed.to_bits(), y.stats.wmed.to_bits());
+            assert_eq!(x.area.to_bits(), y.area.to_bits());
+        }
+    }
+
+    #[test]
+    fn cached_profiles_are_distribution_and_order_independent() {
+        let (op, width) = (Operator::Mul, 3);
+        let tech = TechLibrary::nangate45();
+        let policy = PrunePolicy { max_threshold: 0.02, max_seeds: 2 };
+        let d1 = CircuitEvaluator::for_operator(op, width, false, &Pmf::uniform(width)).unwrap();
+        let d2 = CircuitEvaluator::for_operator(op, width, false, &Pmf::half_normal(width, 2.0))
+            .unwrap();
+
+        // Re-scoring under D1 first fills the cached rows D2 then reads;
+        // the D2 result must equal D2 on a library that never saw D1.
+        let warm = retarget_library();
+        let _ = warm.rescore_pruned(&d1, &tech, 2, Some(&policy));
+        let reused = warm.rescore_pruned(&d2, &tech, 2, Some(&policy));
+        let cold = retarget_library();
+        let fresh = cold.rescore_pruned(&d2, &tech, 2, Some(&policy));
+        assert!(fresh.pruned() >= 1, "the hopeless constant must be pruned under D2");
+        assert_same_rescore(&reused, &fresh);
+        // The cached brackets are the one-shot brackets, bit for bit.
+        for e in warm.entries() {
+            let one_shot =
+                apx_verify::wmed_bounds_weighted(&e.netlist, op, width, false, d2.weights());
+            assert_eq!(e.profile().bounds(d2.weights()), one_shot, "{}", e.name);
+        }
+
+        // Semantic dedup keeps the same survivors whether the profiles
+        // were built by a re-scoring pass or by the dedup itself.
+        let mut before = retarget_library();
+        assert_eq!(before.dedup_semantic(&tech), 1, "x ^ x duplicates the all-zero candidate");
+        let mut after = retarget_library();
+        let _ = after.rescore_pruned(&d1, &tech, 2, Some(&policy));
+        let _ = after.rescore_pruned(&d2, &tech, 2, Some(&policy));
+        assert_eq!(after.dedup_semantic(&tech), 1);
+        let names =
+            |lib: &ComponentLibrary| lib.entries().map(|e| e.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&before), names(&after));
+        assert_eq!(before.semantic_dups(), after.semantic_dups());
+        // And re-scoring after dedup matches a deduplicated cold library.
+        assert_same_rescore(
+            &after.rescore_pruned(&d2, &tech, 2, Some(&policy)),
+            &before.rescore_pruned(&d2, &tech, 2, Some(&policy)),
+        );
     }
 }

@@ -49,11 +49,12 @@
 //!   interval contains the evaluator's reported WMED *as computed*, not
 //!   just the ideal real number.
 
-use crate::propagate_constants;
-use crate::semantic::output_ranges;
-use apx_arith::{EvalBackend, Operator};
+use crate::semantic::{assert_component_arity, digest_and_ranges, output_ranges};
+use crate::{propagate_constants, SEMANTIC_NODE_BUDGET};
+use apx_arith::Operator;
 use apx_dist::Pmf;
 use apx_gates::Netlist;
+use std::sync::{Mutex, PoisonError};
 
 /// Relative widening applied to both ends of the bracket to absorb
 /// floating-point accumulation differences between this analysis and the
@@ -109,6 +110,10 @@ pub fn wmed_bounds(
 /// [`wmed_bounds`] over a raw weight table (one weight per raw operand
 /// encoding) — the form the re-scoring pass already holds.
 ///
+/// A one-shot [`BracketProfile`] without the functional digest: callers
+/// that bracket one netlist under several distributions, or also need
+/// its digest, keep a profile instead.
+///
 /// # Panics
 ///
 /// Same contract as [`wmed_bounds`], with `weights.len() == 2^width` in
@@ -124,7 +129,7 @@ pub fn wmed_bounds_weighted(
     // The exact range pass tightens both ends when the netlist fits the
     // node budget; `None` (blown budget) keeps the pure ternary bracket.
     let ranges = output_ranges(netlist, op, width, signed, EXACT_RANGE_BUDGET);
-    bounds_impl(netlist, op, width, signed, weights, ranges.as_deref())
+    BracketProfile::from_parts(netlist, op, width, signed, None, ranges).bounds(weights)
 }
 
 /// The ternary-only bracket — [`wmed_bounds`] with the exact range pass
@@ -145,55 +150,144 @@ pub fn wmed_bounds_ternary(
     pmf: &Pmf,
 ) -> ErrorBounds {
     assert_eq!(pmf.width(), width, "PMF width must match the operand width");
+    assert_component_arity(netlist, op, width, "bracket analysis");
     let weights: Vec<f64> = pmf.iter().collect();
-    bounds_impl(netlist, op, width, signed, &weights, None)
+    BracketProfile::from_parts(netlist, op, width, signed, None, None).bounds(&weights)
 }
 
-/// Shared bracket computation. `ranges` (when present) holds the exact
-/// biased `(min, max)` achievable output words per weighted-operand
-/// value; see the module docs for why combining them with the ternary
-/// candidate sets is sound and never wider.
-fn bounds_impl(
-    netlist: &Netlist,
+/// Everything distribution-independent the library needs to know about
+/// one candidate, from **one** BDD build: its functional digest and a
+/// reusable WMED-bracket profile.
+///
+/// The bracket of the module docs is a weighted sum of per-`x` integer
+/// terms — the distance sums of the ternary candidate set `S(x)`,
+/// sharpened by the exact range `[amin(x), amax(x)]` when it exists —
+/// and none of those terms depends on the distribution. The profile
+/// computes the exact ranges once, at construction (under the same
+/// budget, with the same all-or-nothing outcome, as
+/// [`wmed_bounds_weighted`]), and fills the per-`x` `(lo, hi)` sums on
+/// demand, only for the `x` a weight table actually weights, caching
+/// them for the next table. [`bounds`](Self::bounds) is then a weighted
+/// sum over cached rows, bit-identical to [`wmed_bounds_weighted`] for
+/// the same weights.
+///
+/// Cost model: construction is one plane build (the price of
+/// [`crate::functional_digest`] alone) plus the `2^width` range
+/// descents; each new row is one ternary propagation plus `2^free`
+/// distance terms. Everything is single-threaded; rows are guarded by a
+/// mutex so a profile can be shared.
+#[derive(Debug)]
+pub struct BracketProfile {
+    netlist: Netlist,
     op: Operator,
     width: u32,
     signed: bool,
-    weights: &[f64],
-    ranges: Option<&[(u64, u64)]>,
-) -> ErrorBounds {
-    // Interval propagation never enumerates the free operand space, so
-    // like the symbolic backend it accepts the widest evaluable range.
-    assert!(
-        op.supports_width(width, EvalBackend::Symbolic),
-        "operand width {width} outside {op}'s evaluable range"
-    );
-    let ni = op.num_inputs(width);
-    assert_eq!(netlist.num_inputs(), ni, "a width-{width} {op} netlist must have {ni} inputs");
-    let out_bits = op.num_outputs(width) as u32;
-    assert_eq!(
-        netlist.num_outputs(),
-        out_bits as usize,
-        "a width-{width} {op} netlist must have {out_bits} outputs"
-    );
-    assert_eq!(weights.len(), 1usize << width, "one weight per raw operand encoding");
+    digest: Option<u128>,
+    ranges: Option<Vec<(u64, u64)>>,
+    /// Per-`x` `(lo, hi)` distance sums, [`UNSET_ROW`] until first
+    /// needed; allocated by the first [`bounds`](Self::bounds) call.
+    rows: Mutex<Vec<(u64, u64)>>,
+}
 
-    let free = (ni - width as usize) as u32;
-    let full: u64 = (1u64 << out_bits) - 1;
-    let top_bit: u64 = if signed { 1u64 << (out_bits - 1) } else { 0 };
-    let mut inputs: Vec<Option<bool>> = vec![None; ni];
-    let (mut lo_sum, mut hi_sum) = (0.0f64, 0.0f64);
-    for (x, &weight) in weights.iter().enumerate() {
-        if weight == 0.0 {
-            continue;
+/// Placeholder of a row not computed yet. No real row equals it: its
+/// `lo` exceeds its `hi`, and real sums stay far below `u64::MAX`.
+const UNSET_ROW: (u64, u64) = (u64::MAX, 0);
+
+impl BracketProfile {
+    /// Analyses `netlist` as a `width`-bit `op` instance: one plane build
+    /// yields the functional digest (under
+    /// [`SEMANTIC_NODE_BUDGET`](crate::SEMANTIC_NODE_BUDGET)) and the
+    /// exact output ranges (under the bracket pass's smaller budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width is unsupported or the netlist's arity
+    /// contradicts the operator contract.
+    #[must_use]
+    pub fn new(netlist: &Netlist, op: Operator, width: u32, signed: bool) -> Self {
+        let (digest, ranges) =
+            digest_and_ranges(netlist, op, width, signed, SEMANTIC_NODE_BUDGET, EXACT_RANGE_BUDGET);
+        Self::from_parts(netlist, op, width, signed, digest, ranges)
+    }
+
+    fn from_parts(
+        netlist: &Netlist,
+        op: Operator,
+        width: u32,
+        signed: bool,
+        digest: Option<u128>,
+        ranges: Option<Vec<(u64, u64)>>,
+    ) -> Self {
+        Self {
+            netlist: netlist.clone(),
+            op,
+            width,
+            signed,
+            digest,
+            ranges,
+            rows: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The functional digest — equal to [`crate::functional_digest`] of
+    /// the netlist, `None` when its planes outgrow the semantic budget.
+    #[must_use]
+    pub fn digest(&self) -> Option<u128> {
+        self.digest
+    }
+
+    /// The provable WMED bracket under a raw weight table — bit-identical
+    /// to [`wmed_bounds_weighted`] on the same netlist and weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `weights.len() == 2^width`.
+    #[must_use]
+    pub fn bounds(&self, weights: &[f64]) -> ErrorBounds {
+        assert_eq!(weights.len(), 1usize << self.width, "one weight per raw operand encoding");
+        // A poisoned lock only means a row computation panicked before
+        // inserting; every stored row is complete.
+        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
+        rows.resize(weights.len(), UNSET_ROW);
+        let (mut lo_sum, mut hi_sum) = (0.0f64, 0.0f64);
+        for (x, &weight) in weights.iter().enumerate() {
+            if weight == 0.0 {
+                continue;
+            }
+            if rows[x] == UNSET_ROW {
+                rows[x] = self.row(x);
+            }
+            let (lo_acc, hi_acc) = rows[x];
+            lo_sum += weight * lo_acc as f64;
+            hi_sum += weight * hi_acc as f64;
+        }
+        let free = self.netlist.num_inputs() as u32 - self.width;
+        let out_bits = self.netlist.num_outputs() as u32;
+        let norm = 1.0 / ((1u64 << free) as f64 * (1u64 << out_bits) as f64);
+        ErrorBounds {
+            wmed_lo: (lo_sum * norm) * (1.0 - WIDEN),
+            wmed_hi: (hi_sum * norm) * (1.0 + WIDEN),
+        }
+    }
+
+    /// The integer `(lo, hi)` distance sums over every free-operand
+    /// completion of weighted-operand value `x` — see the module docs
+    /// for why combining the ternary set with the exact range is sound
+    /// and never wider.
+    fn row(&self, x: usize) -> (u64, u64) {
+        let (op, width, signed) = (self.op, self.width, self.signed);
+        let ni = self.netlist.num_inputs();
+        let free = (ni - width as usize) as u32;
+        let out_bits = self.netlist.num_outputs() as u32;
+        let full: u64 = (1u64 << out_bits) - 1;
+        let top_bit: u64 = if signed { 1u64 << (out_bits - 1) } else { 0 };
         // The weighted operand occupies enumeration bits `free..ni`,
         // which are netlist inputs `0..width` (LSB first).
-        for (i, slot) in inputs.iter_mut().enumerate().take(width as usize) {
-            *slot = Some((x >> i) & 1 == 1);
-        }
-        let vals = propagate_constants(netlist, &inputs);
+        let inputs: Vec<Option<bool>> =
+            (0..ni).map(|i| (i < width as usize).then_some((x >> i) & 1 == 1)).collect();
+        let vals = propagate_constants(&self.netlist, &inputs);
         let (mut mask, mut val) = (0u64, 0u64);
-        for (j, out) in netlist.outputs().iter().enumerate() {
+        for (j, out) in self.netlist.outputs().iter().enumerate() {
             if let Some(bit) = vals[out.index()] {
                 mask |= 1u64 << j;
                 if bit {
@@ -207,7 +301,7 @@ fn bounds_impl(
         let bval = val ^ (top_bit & mask);
         let bmin = bval;
         let bmax = bval | (full & !mask);
-        let exact_range = ranges.map(|r| r[x]);
+        let exact_range = self.ranges.as_ref().map(|r| r[x]);
         let (mut lo_acc, mut hi_acc) = (0u64, 0u64);
         for f in 0..(1u64 << free) {
             let v = ((x as u64) << free) | f;
@@ -216,29 +310,44 @@ fn bounds_impl(
             // the exact value of a supported operator always fits its
             // output word, so `t` lands in `0..2^out_bits`.
             let t = (exact + top_bit as i64) as u64;
-            let mut lo_term = min_dist(t, mask, bval, full);
-            let mut hi_term = t.abs_diff(bmin).max(t.abs_diff(bmax));
-            if let Some((amin, amax)) = exact_range {
+            let (lo_term, hi_term) = match exact_range {
                 // The achievable set A(x) lies inside `[amin, amax]` and
                 // both extremes are achieved, so the distance to the
                 // interval lower-bounds `min |t - z|` and the farthest
-                // endpoint is *exactly* `max |t - z|` over the hull —
-                // never wider than either ternary term (A(x) ⊆ S(x)).
-                let below = amin.saturating_sub(t);
-                let above = t.saturating_sub(amax);
-                lo_term = lo_term.max(below.max(above));
-                hi_term = hi_term.min(t.abs_diff(amin).max(t.abs_diff(amax)));
-            }
+                // endpoint is *exactly* `max |t - z|` over the hull.
+                // Both extremes also lie in S(x), so outside the hull
+                // the interval distance is already the larger lower
+                // term, and the hull's far endpoint never exceeds the
+                // ternary set's: the combination is the interval term
+                // outside the hull and the ternary distance inside it.
+                Some((amin, amax)) => {
+                    let lo = if t < amin {
+                        amin - t
+                    } else if t > amax {
+                        t - amax
+                    } else {
+                        min_dist(t, mask, bval, full)
+                    };
+                    (lo, t.abs_diff(amin).max(t.abs_diff(amax)))
+                }
+                None => (min_dist(t, mask, bval, full), t.abs_diff(bmin).max(t.abs_diff(bmax))),
+            };
             lo_acc += lo_term;
             hi_acc += hi_term;
         }
-        lo_sum += weight * lo_acc as f64;
-        hi_sum += weight * hi_acc as f64;
+        (lo_acc, hi_acc)
     }
-    let norm = 1.0 / ((1u64 << free) as f64 * (1u64 << out_bits) as f64);
-    ErrorBounds {
-        wmed_lo: (lo_sum * norm) * (1.0 - WIDEN),
-        wmed_hi: (hi_sum * norm) * (1.0 + WIDEN),
+}
+
+impl Clone for BracketProfile {
+    fn clone(&self) -> Self {
+        let rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        Self {
+            netlist: self.netlist.clone(),
+            ranges: self.ranges.clone(),
+            rows: Mutex::new(rows),
+            ..*self
+        }
     }
 }
 
@@ -260,29 +369,30 @@ fn min_dist(t: u64, mask: u64, val: u64, full: u64) -> u64 {
 
 /// Smallest `z >= t` with `z & mask == val` (and `z <= full`), if any.
 ///
-/// Standard successor-in-masked-set construction: either `t` itself
-/// qualifies, or the successor raises exactly one currently-zero bit `i`
-/// (which must be free or fixed-to-one), keeps `t`'s bits above `i`
-/// (which must already satisfy the mask there), and minimizes everything
-/// below `i` (free bits to 0, fixed bits to their value). The true
-/// successor is the minimum over all valid raise positions.
+/// The members are `val | s` for the submasks `s` of the free bits
+/// `F = full & !mask`; `val` and `s` are disjoint, so `val | s = val + s`
+/// is monotone in `s` and the successor is `val` plus the smallest
+/// submask of `F` that is `>= u = t - val`. That is `u` itself when
+/// `u ⊆ F`. Otherwise it raises the lowest free zero bit of `u` above
+/// `u`'s highest non-free bit, keeps `u`'s (then all free) bits above
+/// it and clears everything below; no such bit means no successor.
 fn succ_in(t: u64, mask: u64, val: u64, full: u64) -> Option<u64> {
-    if t & mask == val {
-        return Some(t);
+    if t <= val {
+        return Some(val);
     }
-    let mut best: Option<u64> = None;
-    let mut bit = 1u64;
-    while bit <= full {
-        if t & bit == 0 && (mask & bit == 0 || val & bit != 0) {
-            let above = full & !(bit | (bit - 1));
-            if t & above & mask == val & above {
-                let z = (t & above) | bit | (val & (bit - 1));
-                best = Some(best.map_or(z, |b| b.min(z)));
-            }
-        }
-        bit <<= 1;
+    let free = full & !mask;
+    let u = t - val;
+    let fixed = u & !free;
+    if fixed == 0 {
+        return Some(val | u);
     }
-    best
+    let above = u64::MAX.checked_shl(64 - fixed.leading_zeros()).unwrap_or(0);
+    let raise = free & !u & above;
+    if raise == 0 {
+        return None;
+    }
+    let bit = 1u64 << raise.trailing_zeros();
+    Some(val | (u & !(bit | (bit - 1))) | bit)
 }
 
 /// Largest `z <= t` with `z & mask == val`, via the complement map

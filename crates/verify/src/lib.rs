@@ -23,7 +23,11 @@
 //!    yielding a provable `[lo, hi]` bracket on the circuit's WMED
 //!    without exhaustive simulation of the candidate — sound enough to
 //!    prune library candidates that provably cannot meet a threshold
-//!    before the batched re-scoring pass pays for them.
+//!    before the batched re-scoring pass pays for them. A
+//!    [`BracketProfile`] keeps one netlist's distribution-independent
+//!    part of that analysis, plus its [`functional_digest`], from a
+//!    single BDD build, for callers that bracket it under many
+//!    distributions.
 //!
 //! Severity is deliberately two-tier: [`Severity::Error`] marks contract
 //! violations (the netlist must not be evaluated), while
@@ -37,7 +41,9 @@
 mod bounds;
 mod semantic;
 
-pub use bounds::{wmed_bounds, wmed_bounds_ternary, wmed_bounds_weighted, ErrorBounds};
+pub use bounds::{
+    wmed_bounds, wmed_bounds_ternary, wmed_bounds_weighted, BracketProfile, ErrorBounds,
+};
 pub use semantic::{
     functional_digest, functional_digest_with_budget, output_ranges, prove_equiv,
     prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,

@@ -114,7 +114,7 @@ fn netlist_planes(
 
 /// Asserts the arity half of the component contract — the same
 /// preconditions the bounds pass and the evaluator enforce.
-fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
+pub(crate) fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
     assert!(
         op.supports_width(width, EvalBackend::Symbolic),
         "operand width {width} outside {op}'s evaluable range"
@@ -204,6 +204,14 @@ pub fn functional_digest(nl: &Netlist) -> Option<u128> {
 /// dedup.
 #[must_use]
 pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128> {
+    let (bdd, planes) = compile(nl, budget)?;
+    Some(planes_digest(&bdd, &planes))
+}
+
+/// Compiles `nl` into a fresh manager over its inputs (variable `i` =
+/// netlist input `i`). `None` when the input count exceeds the manager's
+/// variable cap or the planes outgrow `budget`.
+fn compile(nl: &Netlist, budget: usize) -> Option<(Bdd, Vec<NodeId>)> {
     let ni = nl.num_inputs();
     if ni as u32 > apx_bdd::MAX_VARS {
         return None;
@@ -211,16 +219,22 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
     let mut bdd = Bdd::new(ni as u32);
     let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
     let planes = netlist_planes(&mut bdd, nl, &vars, budget)?;
-    let (triples, roots) = bdd.export_planes(&planes);
+    Some((bdd, planes))
+}
+
+/// The functional digest of already-compiled output planes. The export
+/// only reads the manager, so the node count is unchanged afterwards.
+fn planes_digest(bdd: &Bdd, planes: &[NodeId]) -> u128 {
+    let (triples, roots) = bdd.export_planes(planes);
     let mut canonical = String::new();
-    let _ = write!(canonical, "fd {ni} {}", roots.len());
+    let _ = write!(canonical, "fd {} {}", bdd.num_vars(), roots.len());
     for (var, lo, hi) in &triples {
         let _ = write!(canonical, " {var}:{lo}:{hi}");
     }
     for r in &roots {
         let _ = write!(canonical, " r{r}");
     }
-    Some(fnv_u128(&canonical))
+    fnv_u128(&canonical)
 }
 
 /// Exact per-weighted-operand output ranges of a `width`-bit `op`
@@ -249,13 +263,53 @@ pub fn output_ranges(
     budget: usize,
 ) -> Option<Vec<(u64, u64)>> {
     assert_component_arity(nl, op, width, "range analysis");
-    let ni = op.num_inputs(width);
-    if ni as u32 > apx_bdd::MAX_VARS {
-        return None;
-    }
-    let mut bdd = Bdd::new(ni as u32);
-    let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
-    let mut planes = netlist_planes(&mut bdd, nl, &vars, budget)?;
+    let (mut bdd, planes) = compile(nl, budget)?;
+    planes_ranges(&mut bdd, planes, width, signed, budget)
+}
+
+/// [`functional_digest_with_budget`] under `digest_budget` and
+/// [`output_ranges`] under `range_budget` from **one** plane build.
+///
+/// Both analyses compile the same planes over the same variable order,
+/// and a manager's node count only grows between clears, so the range
+/// pass's build-time budget checks all pass exactly when the finished
+/// build is within `range_budget`. Given `range_budget <= digest_budget`,
+/// each result is therefore identical to its separate call.
+///
+/// # Panics
+///
+/// Same contract as [`output_ranges`].
+pub(crate) fn digest_and_ranges(
+    nl: &Netlist,
+    op: Operator,
+    width: u32,
+    signed: bool,
+    digest_budget: usize,
+    range_budget: usize,
+) -> (Option<u128>, Option<Vec<(u64, u64)>>) {
+    debug_assert!(range_budget <= digest_budget);
+    assert_component_arity(nl, op, width, "bracket analysis");
+    let Some((mut bdd, planes)) = compile(nl, digest_budget) else {
+        return (None, None);
+    };
+    let digest = planes_digest(&bdd, &planes);
+    let ranges = if bdd.num_nodes() > range_budget {
+        None
+    } else {
+        planes_ranges(&mut bdd, planes, width, signed, range_budget)
+    };
+    (Some(digest), ranges)
+}
+
+/// The range pass proper over compiled planes: biases the sign plane,
+/// then pins each weighted-operand value and reads off the extremes.
+fn planes_ranges(
+    bdd: &mut Bdd,
+    mut planes: Vec<NodeId>,
+    width: u32,
+    signed: bool,
+    budget: usize,
+) -> Option<Vec<(u64, u64)>> {
     if signed {
         // Bias the top plane: `raw ^ top_bit` complements the sign bit.
         let top = planes.len() - 1;
