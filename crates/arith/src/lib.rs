@@ -41,7 +41,7 @@ pub use approx::{baugh_wooley_broken, broken_array_multiplier, truncated_multipl
 pub use backend::EvalBackend;
 pub use columns::{reduce_columns_sequential, reduce_columns_wallace};
 pub use multipliers::{array_multiplier, baugh_wooley_multiplier, wallace_multiplier};
-pub use operator::Operator;
+pub use operator::{Operator, MAX_INPUT_BITS};
 pub use optable::{OpTable, TableError};
 
 /// Interprets the low `width` bits of `raw` as a two's-complement value.

@@ -28,8 +28,9 @@ use apx_gates::Netlist;
 
 /// Exhaustive enumeration is capped at this many input bits — the same
 /// practical bound the evaluator's `2^(2w)` multiplier grids obey. Only
-/// the enumeration backends (`scalar`, `bitpar`) are subject to it.
-const MAX_INPUT_BITS: u32 = 20;
+/// the enumeration backends (`scalar`, `bitpar`) are subject to it, and
+/// static analyses enumerate exactly where they do.
+pub const MAX_INPUT_BITS: u32 = 20;
 
 /// The symbolic (BDD model-counting) backend never enumerates input
 /// vectors, so its cap is set by representation limits instead: packed

@@ -17,9 +17,9 @@
 //! applies (a `netlist_lint` run over the directory gives the same
 //! verdict with per-entry detail). Unless `APX_EQUIV=off`, the audit
 //! also prints the semantic equivalence-class census: how many distinct
-//! *functions* the intact entries compute (canonical BDD digest per
-//! component class; entries past the node budget count as their own
-//! class) — the gap to the entry count is what a GC pass with
+//! *functions* the intact entries compute (canonical functional digest
+//! per component class; entries past the BDD node budget, possible only
+//! at widths too wide to enumerate, count as their own class) — the gap to the entry count is what a GC pass with
 //! equivalence collapse would reclaim.
 //!
 //! Full `APX_*` knob reference: `crates/bench/README.md`.

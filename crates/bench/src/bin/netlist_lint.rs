@@ -18,8 +18,9 @@
 //! per-diagnostic `counts`, and a summary (`entries`, `errors`,
 //! `warnings`). Unless `APX_EQUIV=off`, the document also carries the
 //! semantic equivalence-class census: `equivalence_classes` (distinct
-//! functions among the intact entries, by canonical BDD digest; entries
-//! past the node budget count as their own class) and
+//! functions among the intact entries, by canonical functional digest;
+//! entries past the BDD node budget, possible only at widths too wide to
+//! enumerate, count as their own class) and
 //! `semantic_duplicates` (entries minus classes). The same census is
 //! printed as an `equivalence:` line in the human mode.
 //!

@@ -252,7 +252,7 @@ pub fn verify_enabled() -> bool {
 }
 
 /// Parses an `APX_EQUIV`-style switch: empty or `on` enables the
-/// BDD-backed semantic passes (the default — equivalence-class dedup is
+/// semantic passes (the default — equivalence-class dedup is
 /// provably invisible to sweep results), `off` disables them.
 ///
 /// # Errors

@@ -120,8 +120,10 @@ impl LibraryEntry {
         Self { name, chromosome, netlist, op, width, signed, digest, provenance, profile }
     }
 
-    /// The candidate's [`BracketProfile`]: one BDD build of `netlist`
-    /// as a `width`-bit `op` instance, made on first call and cached.
+    /// The candidate's [`BracketProfile`]: one analysis of `netlist` as
+    /// a `width`-bit `op` instance — an exhaustive 64-lane simulation
+    /// (about 1–2 ms at width 8) where the evaluator enumerates, a BDD
+    /// build past that — made on first call and cached.
     /// [`ComponentLibrary::dedup_semantic`] reads its digest and
     /// [`ComponentLibrary::rescore_pruned`] its brackets, so each
     /// candidate is analysed once however many distributions re-score
@@ -388,9 +390,10 @@ impl ComponentLibrary {
     /// not depend on which candidate represents a function class.
     ///
     /// Cost: the digest comes from each entry's cached
-    /// [`BracketProfile`], so this pass pays one BDD build per entry not
-    /// yet profiled (the same build later re-scoring passes
-    /// read their brackets from) and nothing for the rest. The result
+    /// [`BracketProfile`], so this pass pays one analysis per entry not
+    /// yet profiled (the same analysis later re-scoring passes read their
+    /// brackets from; one exhaustive simulation at enumerable widths, one
+    /// BDD build past them) and nothing for the rest. The result
     /// does not depend on whether, or under which distributions, the
     /// library was re-scored first.
     ///
@@ -482,8 +485,9 @@ impl ComponentLibrary {
     /// consumers that need the full front (the cache GC) use the unpruned
     /// [`rescore`](Self::rescore).
     ///
-    /// Cost of the pre-pass: one BDD build per candidate over the
-    /// library's lifetime (shared with
+    /// Cost of the pre-pass: one profile analysis per candidate over the
+    /// library's lifetime (an exhaustive simulation at enumerable widths,
+    /// a BDD build past them; shared with
     /// [`dedup_semantic`](Self::dedup_semantic)), plus one ternary row
     /// per weighted operand value not yet seen under an earlier
     /// distribution; the bracket itself is then a weighted sum over the

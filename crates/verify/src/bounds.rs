@@ -14,21 +14,26 @@
 //!
 //! and summing those per-vector brackets with the task's distribution
 //! weights (the exact WMED summation of `apx_metrics`) gives a provable
-//! `[lo, hi]` interval around the circuit's true WMED — without ever
-//! simulating the candidate netlist on the full enumeration.
+//! `[lo, hi]` interval around the circuit's true WMED — from per-`x`
+//! facts that do not depend on the distribution, so one analysis serves
+//! every distribution the candidate is bracketed under.
 //!
-//! When the netlist fits the semantic analysis budget, the **exact range
-//! pass** ([`crate::output_ranges`]) sharpens both ends: it yields the
-//! exact achievable min/max biased output `[amin(x), amax(x)]` per
-//! weighted value, with both endpoints *achieved*. Since the achievable
+//! The **exact range pass** sharpens both ends: it yields the exact
+//! achievable min/max biased output `[amin(x), amax(x)]` per weighted
+//! value, with both endpoints *achieved*. At every width the evaluator
+//! enumerates it comes from one exhaustive simulation of the netlist and
+//! always exists; beyond that it is the BDD pass
+//! ([`crate::output_ranges`]), which exists when the netlist's planes fit
+//! its node budget. Since the achievable
 //! set `A(x)` satisfies `A(x) ⊆ S(x)` and `A(x) ⊆ [amin, amax]`, the
 //! larger of the ternary distance and the interval distance is still a
 //! valid lower term, and `max(|t − amin|, |t − amax|)` is the exact
 //! upper term over the hull — so the combined bracket is never wider
 //! than the ternary-only one ([`wmed_bounds_ternary`]), and strictly
-//! tighter whenever the exact range cuts into the ternary set. On budget
-//! exhaustion the pass returns nothing and the ternary bracket stands
-//! unchanged — the soundness contract below is identical either way.
+//! tighter whenever the exact range cuts into the ternary set. When the
+//! BDD pass runs out of budget it returns nothing and the ternary bracket
+//! stands unchanged — the soundness contract below is identical either
+//! way.
 //!
 //! # Soundness contract
 //!
@@ -49,8 +54,8 @@
 //!   interval contains the evaluator's reported WMED *as computed*, not
 //!   just the ideal real number.
 
-use crate::semantic::{assert_component_arity, digest_and_ranges, output_ranges};
-use crate::{propagate_constants, SEMANTIC_NODE_BUDGET};
+use crate::propagate_constants;
+use crate::semantic::{assert_component_arity, digest_and_ranges};
 use apx_arith::Operator;
 use apx_dist::Pmf;
 use apx_gates::Netlist;
@@ -61,12 +66,6 @@ use std::sync::{Mutex, PoisonError};
 /// exhaustive evaluator (each side's relative rounding error is below
 /// `2^-31 ≈ 5e-10`; see the module-level soundness contract).
 const WIDEN: f64 = 1e-9;
-
-/// Node budget for the exact range pass ([`crate::output_ranges`]):
-/// small enough that a candidate whose monolithic planes blow up (wide
-/// multipliers) falls back to ternary analysis quickly, large enough to
-/// admit every exhaustive-width component the re-scoring pass prunes.
-const EXACT_RANGE_BUDGET: usize = 1 << 18;
 
 /// A provable bracket on a circuit's WMED under one distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,9 +109,9 @@ pub fn wmed_bounds(
 /// [`wmed_bounds`] over a raw weight table (one weight per raw operand
 /// encoding) — the form the re-scoring pass already holds.
 ///
-/// A one-shot [`BracketProfile`] without the functional digest: callers
-/// that bracket one netlist under several distributions, or also need
-/// its digest, keep a profile instead.
+/// A one-shot [`BracketProfile`]: callers that bracket one netlist under
+/// several distributions, or also need its digest, keep a profile
+/// instead.
 ///
 /// # Panics
 ///
@@ -126,10 +125,7 @@ pub fn wmed_bounds_weighted(
     signed: bool,
     weights: &[f64],
 ) -> ErrorBounds {
-    // The exact range pass tightens both ends when the netlist fits the
-    // node budget; `None` (blown budget) keeps the pure ternary bracket.
-    let ranges = output_ranges(netlist, op, width, signed, EXACT_RANGE_BUDGET);
-    BracketProfile::from_parts(netlist, op, width, signed, None, ranges).bounds(weights)
+    BracketProfile::new(netlist, op, width, signed).bounds(weights)
 }
 
 /// The ternary-only bracket — [`wmed_bounds`] with the exact range pass
@@ -156,26 +152,28 @@ pub fn wmed_bounds_ternary(
 }
 
 /// Everything distribution-independent the library needs to know about
-/// one candidate, from **one** BDD build: its functional digest and a
+/// one candidate, from **one** analysis: its functional digest and a
 /// reusable WMED-bracket profile.
 ///
 /// The bracket of the module docs is a weighted sum of per-`x` integer
 /// terms — the distance sums of the ternary candidate set `S(x)`,
 /// sharpened by the exact range `[amin(x), amax(x)]` when it exists —
 /// and none of those terms depends on the distribution. The profile
-/// computes the exact ranges once, at construction (under the same
-/// budget, with the same all-or-nothing outcome, as
-/// [`wmed_bounds_weighted`]), and fills the per-`x` `(lo, hi)` sums on
-/// demand, only for the `x` a weight table actually weights, caching
-/// them for the next table. [`bounds`](Self::bounds) is then a weighted
-/// sum over cached rows, bit-identical to [`wmed_bounds_weighted`] for
-/// the same weights.
+/// computes the digest and the exact ranges once, at construction, and
+/// fills the per-`x` `(lo, hi)` sums on demand, only for the `x` a
+/// weight table actually weights, caching them for the next table.
+/// [`bounds`](Self::bounds) is then a weighted sum over cached rows,
+/// bit-identical to [`wmed_bounds_weighted`] for the same weights.
 ///
-/// Cost model: construction is one plane build (the price of
-/// [`crate::functional_digest`] alone) plus the `2^width` range
-/// descents; each new row is one ternary propagation plus `2^free`
-/// distance terms. Everything is single-threaded; rows are guarded by a
-/// mutex so a profile can be shared.
+/// Cost model: where the evaluator enumerates, construction is one
+/// exhaustive 64-lane simulation (about 1–2 ms for a width-8
+/// multiplier), which yields the digest and the ranges together and
+/// keeps only those — the truth table itself is never stored. Past the
+/// enumeration cap it is one BDD plane build plus the `2^width` range
+/// descents, each result `None` past its node budget. Each new row is
+/// one ternary propagation plus `2^free` distance terms. Everything is
+/// single-threaded; rows are guarded by a mutex so a profile can be
+/// shared.
 #[derive(Debug)]
 pub struct BracketProfile {
     netlist: Netlist,
@@ -194,10 +192,9 @@ pub struct BracketProfile {
 const UNSET_ROW: (u64, u64) = (u64::MAX, 0);
 
 impl BracketProfile {
-    /// Analyses `netlist` as a `width`-bit `op` instance: one plane build
-    /// yields the functional digest (under
-    /// [`SEMANTIC_NODE_BUDGET`](crate::SEMANTIC_NODE_BUDGET)) and the
-    /// exact output ranges (under the bracket pass's smaller budget).
+    /// Analyses `netlist` as a `width`-bit `op` instance: one exhaustive
+    /// simulation, or past the evaluator's enumeration cap one BDD plane
+    /// build, yields the functional digest and the exact output ranges.
     ///
     /// # Panics
     ///
@@ -205,8 +202,8 @@ impl BracketProfile {
     /// contradicts the operator contract.
     #[must_use]
     pub fn new(netlist: &Netlist, op: Operator, width: u32, signed: bool) -> Self {
-        let (digest, ranges) =
-            digest_and_ranges(netlist, op, width, signed, SEMANTIC_NODE_BUDGET, EXACT_RANGE_BUDGET);
+        assert_component_arity(netlist, op, width, "bracket analysis");
+        let (digest, ranges) = digest_and_ranges(netlist, Some((width, signed)));
         Self::from_parts(netlist, op, width, signed, digest, ranges)
     }
 
@@ -230,10 +227,20 @@ impl BracketProfile {
     }
 
     /// The functional digest — equal to [`crate::functional_digest`] of
-    /// the netlist, `None` when its planes outgrow the semantic budget.
+    /// the netlist: always present at enumerable widths, `None` past them
+    /// when its planes outgrow the semantic budget.
     #[must_use]
     pub fn digest(&self) -> Option<u128> {
         self.digest
+    }
+
+    /// The exact biased per-`x` output ranges the bracket is sharpened
+    /// with, as [`crate::output_ranges`] defines them: always present at
+    /// enumerable widths, `None` past them when the BDD range pass ran
+    /// out of budget (the bracket is then the ternary one).
+    #[must_use]
+    pub fn ranges(&self) -> Option<&[(u64, u64)]> {
+        self.ranges.as_deref()
     }
 
     /// The provable WMED bracket under a raw weight table — bit-identical

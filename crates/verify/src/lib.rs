@@ -21,12 +21,13 @@
 //!    component library's dedup identity.
 //! 3. **Bound analysis** ([`wmed_bounds`]): per-output interval analysis
 //!    yielding a provable `[lo, hi]` bracket on the circuit's WMED
-//!    without exhaustive simulation of the candidate — sound enough to
-//!    prune library candidates that provably cannot meet a threshold
-//!    before the batched re-scoring pass pays for them. A
-//!    [`BracketProfile`] keeps one netlist's distribution-independent
-//!    part of that analysis, plus its [`functional_digest`], from a
-//!    single BDD build, for callers that bracket it under many
+//!    without the weighted statistics pass — sound enough to prune
+//!    library candidates that provably cannot meet a threshold before
+//!    the batched re-scoring pass pays for them. A [`BracketProfile`]
+//!    keeps one netlist's distribution-independent part of that
+//!    analysis, plus its [`functional_digest`], from a single analysis
+//!    (one exhaustive 64-lane simulation where the evaluator enumerates,
+//!    one BDD build beyond), for callers that bracket it under many
 //!    distributions.
 //!
 //! Severity is deliberately two-tier: [`Severity::Error`] marks contract
@@ -45,8 +46,8 @@ pub use bounds::{
     wmed_bounds, wmed_bounds_ternary, wmed_bounds_weighted, BracketProfile, ErrorBounds,
 };
 pub use semantic::{
-    functional_digest, functional_digest_with_budget, output_ranges, prove_equiv,
-    prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,
+    functional_digest, output_ranges, prove_equiv, prove_equiv_with_budget, prove_seed,
+    prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,
 };
 
 use apx_arith::{EvalBackend, Operator};
@@ -445,13 +446,36 @@ pub fn structural_hash(netlist: &Netlist) -> u128 {
     fnv_u128(&canonical)
 }
 
-/// The crate's canonical-string-to-128-bit hash: two independently
-/// seeded FNV-1a-64 streams over the same bytes (shared by the
-/// structural hash and the semantic functional digest).
+/// The crate's 128-bit content hash: two independently seeded FNV-1a-64
+/// streams over the same bytes (shared by the structural hash and both
+/// forms of the functional digest). Bytes may arrive in pieces; the
+/// result depends only on their concatenation.
+#[derive(Debug, Clone, Copy)]
+struct Fnv128 {
+    hi: u64,
+    lo: u64,
+}
+
+impl Fnv128 {
+    fn new() -> Self {
+        Self { hi: FNV1A64_OFFSET, lo: FNV1A64_OFFSET ^ 0x9E37_79B9_7F4A_7C15 }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.hi = fnv1a64(bytes, self.hi);
+        self.lo = fnv1a64(bytes, self.lo);
+    }
+
+    fn finish(self) -> u128 {
+        (u128::from(self.hi) << 64) | u128::from(self.lo)
+    }
+}
+
+/// [`Fnv128`] of one canonical string.
 fn fnv_u128(canonical: &str) -> u128 {
-    let hi = fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET);
-    let lo = fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
-    (u128::from(hi) << 64) | u128::from(lo)
+    let mut hash = Fnv128::new();
+    hash.write(canonical.as_bytes());
+    hash.finish()
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
-//! Semantic verification on ROBDD planes: equivalence proofs, canonical
+//! Semantic verification: equivalence proofs on ROBDD planes, canonical
 //! function identity and exact output ranges.
 //!
 //! The structural passes of this crate answer "is this netlist
 //! well-formed"; this module answers "what function does it compute",
-//! using `apx_bdd` as the reasoning engine. Three capabilities:
+//! using `apx_bdd` as the reasoning engine wherever enumeration is out
+//! of reach. Three capabilities:
 //!
 //! 1. **Equivalence checking** ([`prove_equiv`]): both netlists compile
 //!    to per-output-bit BDD planes under one shared manager; canonicity
@@ -14,17 +15,30 @@
 //!    up (multiplier BDDs are exponential in operand width under any
 //!    variable order).
 //! 2. **Canonical functional digest** ([`functional_digest`]): a hash of
-//!    the canonically renumbered plane subgraph under the fixed input-
-//!    index variable order. Two netlists get the same digest iff they
-//!    compute the same output function vector — invariant under wiring
+//!    the function in one of two canonical forms, split at the
+//!    evaluator's enumeration boundary ([`MAX_INPUT_BITS`] inputs). Up to
+//!    it, the hash of the full output truth table from one exhaustive
+//!    64-lane simulation; beyond it, the hash of the canonically
+//!    renumbered plane subgraph under the fixed input-index variable
+//!    order. Either way two netlists get the same digest iff they compute
+//!    the same output function vector — invariant under wiring
 //!    permutation, dead nodes and any gate-level restructuring. The
 //!    component library's `dedup_semantic` stage and the cache GC's
 //!    equivalence-class collapse key on it.
-//! 3. **Exact output ranges** ([`output_ranges`]): per weighted-operand
-//!    value, the exact min/max achievable output word via greedy max-sat
-//!    descent over the restricted planes — the tightening the WMED
-//!    bracket pass ([`crate::wmed_bounds`]) substitutes for its ternary
-//!    candidate sets when the netlist fits the budget.
+//! 3. **Exact output ranges**: per weighted-operand value, the exact
+//!    min/max achievable output word — the tightening the WMED bracket
+//!    pass ([`crate::wmed_bounds`]) substitutes for its ternary candidate
+//!    sets. Enumerable components read it off the same simulation as
+//!    their digest; wider ones get it from greedy max-sat descent over
+//!    the restricted planes ([`output_ranges`], also the reference the
+//!    enumerated ranges are tested against) when those fit the budget.
+//!
+//! Below the enumeration boundary a BDD is pure overhead: a width-8
+//! multiplier's monolithic planes take about 117k nodes and tens of
+//! milliseconds to build, its exhaustive simulation one or two. The
+//! choice between the two analyses is made in one place
+//! (`digest_and_ranges`), which every digest and bracket consumer goes
+//! through; the proofs ([`prove_equiv`], [`prove_seed`]) stay on BDDs.
 //!
 //! [`prove_seed`] closes the loop on the generators themselves: every
 //! [`Operator::seed_circuit`] is proved equivalent to an *independent*
@@ -37,23 +51,33 @@
 //!
 //! # Budget semantics
 //!
-//! Every entry point takes (or defaults) a node budget checked between
-//! gate applications. Exceeding it returns `Unknown`/`None` — never a
-//! wrong answer. Callers treat that as "fall back to the structural /
-//! ternary result", so the budget only trades precision, never
-//! soundness.
+//! Every BDD construction takes (or defaults) a node budget checked
+//! between gate applications. Exceeding it returns `Unknown`/`None` —
+//! never a wrong answer. Callers treat that as "fall back to the
+//! structural / ternary result", so the budget only trades precision,
+//! never soundness. The enumerated analysis has no budget: at the widths
+//! it serves it always answers.
 
-use crate::fnv_u128;
-use apx_arith::{EvalBackend, Operator};
+use crate::{fnv_u128, Fnv128};
+use apx_arith::{EvalBackend, Operator, MAX_INPUT_BITS};
 use apx_bdd::{Bdd, NodeId, FALSE};
-use apx_gates::{GateKind, Netlist};
+use apx_gates::{unpack_lanes, BlockSim, Exhaustive, GateKind, Netlist};
 use std::fmt::Write as _;
 
-/// Default node budget for semantic analyses: comfortably admits every
-/// exhaustive-width component (a 10-bit array multiplier's monolithic
-/// planes stay well under it) while bounding wide-width blowups to a few
-/// tens of megabytes before degrading to `Unknown`.
+/// Default node budget for BDD analyses: the equivalence and seed
+/// proofs, and the functional digest of netlists past the evaluator's
+/// enumeration cap (enumerable ones are simulated and never reach it).
+/// It bounds wide-width blowups to a few tens of megabytes before
+/// degrading to `Unknown`. Monolithic multiplier planes approach it
+/// early: a 10-bit array multiplier builds 1,498,295 of its 2,097,152
+/// nodes.
 pub const SEMANTIC_NODE_BUDGET: usize = 1 << 21;
+
+/// Node budget for the BDD range pass past the enumeration cap: small
+/// enough that a candidate whose monolithic planes blow up falls back to
+/// its ternary bracket quickly, and below [`SEMANTIC_NODE_BUDGET`] so
+/// such a candidate can still keep its digest.
+const EXACT_RANGE_BUDGET: usize = 1 << 18;
 
 /// Verdict of an equivalence proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,32 +202,39 @@ pub fn prove_equiv_with_budget(
     Equiv::Equal
 }
 
-/// Canonical 128-bit digest of the *function* a netlist computes, under
-/// the default [`SEMANTIC_NODE_BUDGET`] — see
-/// [`functional_digest_with_budget`].
+/// Canonical 128-bit digest of the *function* a netlist computes: two
+/// netlists get equal digests exactly when they compute the same
+/// `inputs -> outputs` function vector, up to collisions of the 128-bit
+/// hash itself.
+///
+/// There are two canonical forms, split at the evaluator's enumeration
+/// boundary:
+///
+/// * up to [`MAX_INPUT_BITS`] inputs, the hash of the full output truth
+///   table, streamed out of one exhaustive 64-lane simulation — a table
+///   is the function, so canonicity is immediate;
+/// * beyond it, the hash of the canonically renumbered output-plane
+///   subgraph under the fixed input-index variable order
+///   ([`Bdd::export_planes`]). The ROBDD of each output bit is unique for
+///   that order and the export renumbers nodes by a deterministic
+///   traversal, so equal functions serialize to identical bytes. This
+///   form returns `None` when the planes outgrow
+///   [`SEMANTIC_NODE_BUDGET`] (or the input count exceeds the manager's
+///   variable cap) — callers fall back to structural identity, which is
+///   strictly finer and therefore still sound for dedup.
+///
+/// The two forms hash differently tagged byte strings, so one cannot
+/// collide with the other. The input count picks the form, so digests of
+/// one `(op, width, signed)` component class — the only ones anybody
+/// compares — always share it. Digests are never persisted.
 #[must_use]
 pub fn functional_digest(nl: &Netlist) -> Option<u128> {
-    functional_digest_with_budget(nl, SEMANTIC_NODE_BUDGET)
+    digest_and_ranges(nl, None).0
 }
 
-/// Canonical 128-bit digest of the function `nl` computes: the hash of
-/// its canonically renumbered output-plane subgraph under the fixed
-/// input-index variable order ([`Bdd::export_planes`]).
-///
-/// Canonicity argument: the ROBDD of each output bit is unique for the
-/// fixed variable order, and the export renumbers nodes by a
-/// deterministic traversal of that unique graph — so any two netlists
-/// computing the same `inputs -> outputs` function vector serialize to
-/// identical bytes, regardless of wiring permutations, dead nodes or
-/// gate-level restructuring. Distinct functions differ in at least one
-/// plane graph, so collisions are only those of the 128-bit hash itself.
-///
-/// Returns `None` when the planes outgrow `budget` (or the input count
-/// exceeds the manager's variable cap) — callers fall back to structural
-/// identity, which is strictly finer and therefore still sound for
-/// dedup.
-#[must_use]
-pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128> {
+/// The BDD form of [`functional_digest`] under an explicit node budget,
+/// at any input count.
+pub(crate) fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128> {
     let (bdd, planes) = compile(nl, budget)?;
     Some(planes_digest(&bdd, &planes))
 }
@@ -247,8 +278,10 @@ fn planes_digest(bdd: &Bdd, planes: &[NodeId]) -> u128 {
 /// *achieved* by some free assignment, so `[min, max]` is the exact
 /// interval hull of the achievable output set.
 ///
-/// Returns `None` when the monolithic planes outgrow `budget` — the
-/// caller keeps its ternary candidate sets.
+/// This is the BDD form of the range pass: the bracket analysis uses it
+/// past the evaluator's enumeration cap, and tests hold the enumerated
+/// ranges against it. Returns `None` when the monolithic planes outgrow
+/// `budget` — the caller keeps its ternary candidate sets.
 ///
 /// # Panics
 ///
@@ -267,36 +300,105 @@ pub fn output_ranges(
     planes_ranges(&mut bdd, planes, width, signed, budget)
 }
 
-/// [`functional_digest_with_budget`] under `digest_budget` and
-/// [`output_ranges`] under `range_budget` from **one** plane build.
+/// The functional digest of `nl` and — given the `(width, signed)` of
+/// the component it implements — its exact per-weighted-operand output
+/// ranges in biased space, as [`output_ranges`] defines them.
+///
+/// This is the one place that chooses the analysis. Up to
+/// [`MAX_INPUT_BITS`] inputs (where the evaluator enumerates) one
+/// exhaustive simulation yields both results, always. Beyond it, one
+/// BDD build yields the digest under [`SEMANTIC_NODE_BUDGET`] and the
+/// ranges under the smaller range budget, each `None` past its budget.
+pub(crate) fn digest_and_ranges(
+    nl: &Netlist,
+    component: Option<(u32, bool)>,
+) -> (Option<u128>, Option<Vec<(u64, u64)>>) {
+    if nl.num_inputs() <= MAX_INPUT_BITS as usize {
+        let (digest, ranges) = enumerate(nl, component);
+        return (Some(digest), ranges);
+    }
+    match component {
+        None => (functional_digest_with_budget(nl, SEMANTIC_NODE_BUDGET), None),
+        Some((width, signed)) => bdd_digest_and_ranges(nl, width, signed),
+    }
+}
+
+/// One exhaustive 64-lane simulation of `nl`, block by block through
+/// [`Exhaustive`] without materializing the table: the truth-table form
+/// of the functional digest and, given the component's `(width,
+/// signed)`, its exact biased per-`x` output ranges.
+///
+/// The digest hashes a `tt` tag with the arity (the BDD form's tag is
+/// `fd`), then every block's output words in block order, lanes past
+/// `2^inputs` masked off — a fixed serialization of the truth table. The
+/// weighted operand is netlist inputs `0..width`, the low bits of the
+/// vector index, so vector `v` widens range `v mod 2^width`: a block's
+/// lanes cover consecutive ranges, wrapping every `2^width` lanes when
+/// the operand is narrower than a block. Every range sees
+/// `2^(inputs - width)` vectors, so both ends are achieved.
+fn enumerate(nl: &Netlist, component: Option<(u32, bool)>) -> (u128, Option<Vec<(u64, u64)>>) {
+    let (ni, no) = (nl.num_inputs(), nl.num_outputs());
+    let ex = Exhaustive::new(ni);
+    let lanes = ex.lanes_per_block();
+    let lane_mask = u64::MAX >> (64 - lanes);
+    let mut hash = Fnv128::new();
+    hash.write(format!("tt {ni} {no}").as_bytes());
+    let mut ranges = component.map(|(width, _)| vec![(u64::MAX, 0u64); 1 << width]);
+    // Biasing flips the sign bit: `raw ^ top_bit`, as in the BDD pass.
+    let top_bit = match component {
+        Some((_, true)) => 1u64 << (no - 1),
+        _ => 0,
+    };
+    let mut sim = BlockSim::new(nl);
+    let mut inputs = vec![0u64; ni];
+    let mut bytes = Vec::with_capacity(8 * no);
+    let mut values = [0u64; 64];
+    for block in 0..ex.num_blocks() {
+        ex.fill_inputs(block, &mut inputs);
+        let words = sim.run(nl, &inputs);
+        bytes.clear();
+        for &w in words {
+            bytes.extend_from_slice(&(w & lane_mask).to_le_bytes());
+        }
+        hash.write(&bytes);
+        if let Some(ranges) = ranges.as_mut() {
+            unpack_lanes(words, lanes, &mut values);
+            let span = lanes.min(ranges.len());
+            let x0 = (block * lanes) & (ranges.len() - 1);
+            for chunk in values[..lanes].chunks(span) {
+                for ((min, max), &raw) in ranges[x0..x0 + span].iter_mut().zip(chunk) {
+                    let biased = raw ^ top_bit;
+                    *min = (*min).min(biased);
+                    *max = (*max).max(biased);
+                }
+            }
+        }
+    }
+    (hash.finish(), ranges)
+}
+
+/// The BDD half of [`digest_and_ranges`]: [`functional_digest_with_budget`]
+/// under [`SEMANTIC_NODE_BUDGET`] and [`output_ranges`] under the range
+/// budget from **one** plane build.
 ///
 /// Both analyses compile the same planes over the same variable order,
 /// and a manager's node count only grows between clears, so the range
 /// pass's build-time budget checks all pass exactly when the finished
-/// build is within `range_budget`. Given `range_budget <= digest_budget`,
-/// each result is therefore identical to its separate call.
-///
-/// # Panics
-///
-/// Same contract as [`output_ranges`].
-pub(crate) fn digest_and_ranges(
+/// build is within the range budget, which is the smaller one. Each
+/// result is therefore identical to its separate call.
+fn bdd_digest_and_ranges(
     nl: &Netlist,
-    op: Operator,
     width: u32,
     signed: bool,
-    digest_budget: usize,
-    range_budget: usize,
 ) -> (Option<u128>, Option<Vec<(u64, u64)>>) {
-    debug_assert!(range_budget <= digest_budget);
-    assert_component_arity(nl, op, width, "bracket analysis");
-    let Some((mut bdd, planes)) = compile(nl, digest_budget) else {
+    let Some((mut bdd, planes)) = compile(nl, SEMANTIC_NODE_BUDGET) else {
         return (None, None);
     };
     let digest = planes_digest(&bdd, &planes);
-    let ranges = if bdd.num_nodes() > range_budget {
+    let ranges = if bdd.num_nodes() > EXACT_RANGE_BUDGET {
         None
     } else {
-        planes_ranges(&mut bdd, planes, width, signed, range_budget)
+        planes_ranges(&mut bdd, planes, width, signed, EXACT_RANGE_BUDGET)
     };
     (Some(digest), ranges)
 }
@@ -493,6 +595,27 @@ mod tests {
             assert_eq!(prove_equiv(&nl, &padded, op, 3), Equiv::Equal, "{op}");
             assert_eq!(functional_digest(&nl), functional_digest(&padded), "{op}");
         }
+    }
+
+    #[test]
+    fn the_enumeration_cap_picks_the_digest_form() {
+        // Up to the cap the digest is the truth-table form, which never
+        // equals the BDD form of the same function; past it the digest is
+        // the BDD form. Both are invariant under dead-node padding.
+        for op in Operator::ALL {
+            let nl = op.seed_circuit(3, false);
+            let bdd = functional_digest_with_budget(&nl, SEMANTIC_NODE_BUDGET);
+            assert!(bdd.is_some());
+            assert_ne!(functional_digest(&nl), bdd, "{op}");
+            let padded = with_dead_padding(&nl, 7);
+            assert_eq!(functional_digest_with_budget(&padded, SEMANTIC_NODE_BUDGET), bdd, "{op}");
+        }
+        let wide = Operator::Add.seed_circuit(11, false);
+        assert!(wide.num_inputs() > MAX_INPUT_BITS as usize);
+        let digest = functional_digest(&wide);
+        assert!(digest.is_some());
+        assert_eq!(digest, functional_digest_with_budget(&wide, SEMANTIC_NODE_BUDGET));
+        assert_eq!(functional_digest(&with_dead_padding(&wide, 5)), digest);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! pinned from the one-shot bracket pass as it stood before
 //! [`BracketProfile`] existed. Both the public wrappers and profiles —
 //! fresh, or reused across distributions in either order — must keep
-//! reproducing them bit for bit.
+//! reproducing them bit for bit, whether the exact ranges come from the
+//! BDD range pass (as when the bits were pinned) or from exhaustive
+//! simulation (as at these enumerable widths today).
 
 use apx_arith::Operator;
 use apx_cgp::{Chromosome, FunctionSet};
@@ -11,7 +13,8 @@ use apx_dist::Pmf;
 use apx_gates::{GateKind, Netlist, Node, SignalId};
 use apx_rng::Xoshiro256;
 use apx_verify::{
-    functional_digest, wmed_bounds, wmed_bounds_ternary, BracketProfile, ErrorBounds,
+    functional_digest, output_ranges, wmed_bounds, wmed_bounds_ternary, BracketProfile,
+    ErrorBounds, SEMANTIC_NODE_BUDGET,
 };
 
 /// One line per grid netlist: label, then `lo hi` bit patterns under the
@@ -185,24 +188,67 @@ fn brackets_match_the_pinned_bits() {
         backward.reverse();
         assert_eq!(backward.concat(), want, "{label}: reused profile, reverse order");
         assert_eq!(shared.digest(), functional_digest(&nl), "{label}: digest");
+        let reference = output_ranges(&nl, op, width, signed, SEMANTIC_NODE_BUDGET);
+        assert!(reference.is_some(), "{label}: grid netlists fit the BDD budget");
+        assert_eq!(shared.ranges(), reference.as_deref(), "{label}: enumerated ranges");
     }
+}
+
+/// A PMF with weight on a few scattered operand values only, so a
+/// bracket at a wide width fills just a few `2^free`-term rows.
+fn spikes(width: u32) -> Pmf {
+    let n = 1usize << width;
+    let mut weights = vec![0.0; n];
+    for (x, w) in [(3, 1.0), (1000, 2.0), (40_000, 3.0), (n - 1, 4.0)] {
+        weights[x] = w;
+    }
+    Pmf::from_weights(width, weights).expect("a nonempty support")
 }
 
 #[test]
 fn range_budget_exhaustion_keeps_the_ternary_bracket_and_the_digest() {
-    // A 9-bit array multiplier's planes outgrow the bracket pass's range
-    // budget but fit the semantic digest budget: the profile must keep
-    // the ternary-only bracket and still carry the digest.
-    let (op, width) = (Operator::Mul, 9);
+    // A 16-bit ripple adder is past the evaluator's enumeration cap, so
+    // it is analysed on BDDs: under the input-index variable order its
+    // planes (about 721k nodes) outgrow the bracket pass's range budget
+    // but fit the semantic digest budget. The profile must keep the
+    // ternary-only bracket and still carry the digest. The bits were
+    // pinned while every width was analysed on BDDs.
+    let (op, width) = (Operator::Add, 16);
     let nl = op.seed_circuit(width, false);
-    let pmf = Pmf::uniform(width);
+    let pmf = spikes(width);
     let weights: Vec<f64> = pmf.iter().collect();
     let profile = BracketProfile::new(&nl, op, width, false);
     let digest = profile.digest();
     assert!(digest.is_some(), "the digest budget must not run out");
     assert_eq!(digest, functional_digest(&nl));
-    let want = [0x0000000000000000, 0x3fe47f28b5920861];
+    assert_eq!(profile.ranges(), None, "the range budget must run out");
+    let want = [0x0000000000000000, 0x3fe6cf612143918c];
     assert_eq!(bits(profile.bounds(&weights)), want);
     assert_eq!(bits(wmed_bounds(&nl, op, width, false, &pmf)), want);
     assert_eq!(bits(wmed_bounds_ternary(&nl, op, width, false, &pmf)), want);
+}
+
+#[test]
+fn enumerable_widths_always_get_the_exact_range_bracket() {
+    // A 9-bit array multiplier's planes outgrow the BDD range budget, so
+    // while every width was analysed on BDDs it kept the ternary bracket
+    // (the `ternary` bits below). Its exhaustive simulation has no
+    // budget: the exact ranges always exist, equal the BDD reference,
+    // and give a bracket inside the ternary one.
+    let (op, width) = (Operator::Mul, 9);
+    let nl = op.seed_circuit(width, false);
+    let pmf = Pmf::uniform(width);
+    let weights: Vec<f64> = pmf.iter().collect();
+    let profile = BracketProfile::new(&nl, op, width, false);
+    assert_eq!(profile.digest(), functional_digest(&nl));
+    let reference = output_ranges(&nl, op, width, false, SEMANTIC_NODE_BUDGET);
+    assert!(reference.is_some(), "the semantic budget admits a 9-bit multiplier");
+    assert_eq!(profile.ranges(), reference.as_deref());
+    let ternary = wmed_bounds_ternary(&nl, op, width, false, &pmf);
+    assert_eq!(bits(ternary), [0x0000000000000000, 0x3fe47f28b5920861]);
+    let want = [0x0000000000000000, 0x3fd7ec040066be73];
+    let exact = profile.bounds(&weights);
+    assert_eq!(bits(exact), want);
+    assert_eq!(bits(wmed_bounds(&nl, op, width, false, &pmf)), want);
+    assert!(exact.wmed_lo >= ternary.wmed_lo && exact.wmed_hi < ternary.wmed_hi);
 }

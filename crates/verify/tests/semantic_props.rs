@@ -4,7 +4,8 @@
 //! operators, widths 2–6 (where enumeration stays tractable), both
 //! signednesses — including mutated netlists (a genuine `Differs`
 //! witness) and digest invariance under dead-node padding and gate
-//! reordering.
+//! reordering — plus, at the paper's width 8, digest equality exactly
+//! when the truth tables are equal.
 
 use apx_arith::Operator;
 use apx_cgp::{Chromosome, FunctionSet};
@@ -166,4 +167,59 @@ proptest! {
             }
         }
     }
+}
+
+/// Whether two netlists of the same arity compute the same function,
+/// by brute force over every input assignment (stopping at the first
+/// difference).
+fn same_function(a: &Netlist, b: &Netlist) -> bool {
+    let ni = a.num_inputs();
+    (0..(1u64 << ni)).all(|x| {
+        let assign: Vec<bool> = (0..ni).map(|i| (x >> i) & 1 == 1).collect();
+        a.eval_bool(&assign) == b.eval_bool(&assign)
+    })
+}
+
+/// `nl` with gate `k` switched to another two-input kind: a one-gate
+/// mutant that may or may not change the function.
+fn regated(nl: &Netlist, k: usize) -> Netlist {
+    let mut nodes = nl.nodes().to_vec();
+    nodes[k].kind = match nodes[k].kind {
+        GateKind::And => GateKind::Or,
+        GateKind::Or => GateKind::Xor,
+        GateKind::Xor => GateKind::Xnor,
+        _ => GateKind::And,
+    };
+    Netlist::new(nl.num_inputs(), nodes, nl.outputs().to_vec()).expect("same wiring stays valid")
+}
+
+#[test]
+fn width8_digests_are_equal_exactly_when_truth_tables_are() {
+    // At width 8 the digest is the truth-table form; functions are
+    // compared here by brute force through `eval_bool`, independent of
+    // the 64-lane simulator the digest streams from. The exact seed and a random
+    // CGP phenotype each keep their digest under padding and re-encoding,
+    // and every one-gate mutant gets a different digest exactly when it
+    // computes a different function.
+    let (op, width) = (Operator::Mul, 8);
+    let mut changed = 0usize;
+    for nl in [op.seed_circuit(width, false), random_component(op, width, 0x5EED_0008)] {
+        let digest = functional_digest(&nl);
+        assert!(digest.is_some(), "enumerable netlists always get a digest");
+        let padded = with_dead_padding(&nl, 9);
+        assert_eq!(functional_digest(&padded), digest, "padding");
+        let re = reencoded(&nl, 9).expect("the extended set covers every gate kind");
+        assert!(same_function(&re, &nl));
+        assert_eq!(functional_digest(&re), digest, "re-encoding");
+        let active = nl.active_mask();
+        let gates: Vec<usize> =
+            (0..nl.gate_count()).filter(|&k| active[nl.num_inputs() + k]).collect();
+        for &k in gates.iter().step_by(gates.len().div_ceil(6)) {
+            let mutant = regated(&nl, k);
+            let same = same_function(&mutant, &nl);
+            changed += usize::from(!same);
+            assert_eq!(functional_digest(&mutant) == digest, same, "gate {k}");
+        }
+    }
+    assert!(changed > 0, "no mutant changed the function");
 }
