@@ -1,7 +1,7 @@
 //! The CGP chromosome: an integer-string circuit encoding.
 
 use crate::{CgpError, FunctionSet};
-use apx_gates::{Netlist, NetlistBuilder, Node, SignalId};
+use apx_gates::{GateKind, Netlist, NetlistBuilder, Node, SignalId};
 use apx_rng::Xoshiro256;
 
 /// A CGP chromosome on a `1 × cols` grid (`r = 1`, `n_a = 2`).
@@ -183,7 +183,7 @@ impl Chromosome {
     pub fn decode_full(&self) -> Netlist {
         let nodes: Vec<Node> = (0..self.cols)
             .map(|k| Node {
-                kind: self.funcs.kind(self.genes[3 * k + 2] as usize),
+                kind: self.node_kind(k),
                 a: SignalId(self.genes[3 * k]),
                 b: SignalId(self.genes[3 * k + 1]),
             })
@@ -193,13 +193,12 @@ impl Chromosome {
         Netlist::new(self.ni, nodes, outputs).expect("chromosome encodes a valid netlist")
     }
 
-    /// Decodes only the active cone — the phenotype that is simulated,
-    /// costed and eventually shipped.
+    /// Per-signal activity (`ni + k` for node `k`): whether the signal is
+    /// read, directly or transitively, by a primary output. Computed by a
+    /// backward walk over the genes alone — no netlist is built — and
+    /// equal to `decode_full().active_mask()`.
     #[must_use]
-    pub fn decode_active(&self) -> Netlist {
-        // Mark active nodes by walking back from the outputs, then build
-        // the compacted netlist directly (cheaper than decode_full +
-        // compact for large, mostly dead grids).
+    pub fn active_mask(&self) -> Vec<bool> {
         let ni = self.ni;
         let mut active = vec![false; ni + self.cols];
         let mut stack: Vec<usize> = Vec::new();
@@ -215,8 +214,7 @@ impl Chromosome {
                 continue;
             }
             let k = s - ni;
-            let kind = self.funcs.kind(self.genes[3 * k + 2] as usize);
-            let arity = kind.arity();
+            let arity = self.node_kind(k).arity();
             if arity >= 1 {
                 let a = self.genes[3 * k] as usize;
                 if !active[a] {
@@ -232,6 +230,28 @@ impl Chromosome {
                 }
             }
         }
+        active
+    }
+
+    /// The gate kind node `k`'s function gene selects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= cols()`.
+    #[must_use]
+    pub fn node_kind(&self, k: usize) -> GateKind {
+        self.funcs.kind(self.genes[3 * k + 2] as usize)
+    }
+
+    /// Decodes only the active cone — the phenotype that is simulated,
+    /// costed and eventually shipped.
+    #[must_use]
+    pub fn decode_active(&self) -> Netlist {
+        // Mark active nodes by walking back from the outputs, then build
+        // the compacted netlist directly (cheaper than decode_full +
+        // compact for large, mostly dead grids).
+        let ni = self.ni;
+        let active = self.active_mask();
         let mut remap = vec![u32::MAX; ni + self.cols];
         for (i, slot) in remap.iter_mut().enumerate().take(ni) {
             *slot = i as u32;
@@ -242,7 +262,7 @@ impl Chromosome {
             if !active[sig] {
                 continue;
             }
-            let kind = self.funcs.kind(self.genes[3 * k + 2] as usize);
+            let kind = self.node_kind(k);
             let arity = kind.arity();
             let a =
                 if arity >= 1 { SignalId(remap[self.genes[3 * k] as usize]) } else { SignalId(0) };
@@ -258,7 +278,7 @@ impl Chromosome {
     /// Number of active nodes (the phenotype size).
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.decode_active().gate_count()
+        self.active_mask()[self.ni..].iter().filter(|&&a| a).count()
     }
 }
 
@@ -326,6 +346,7 @@ mod tests {
             assert!(c.is_valid());
             let nl = c.decode_full();
             nl.validate().unwrap();
+            assert_eq!(c.active_mask(), nl.active_mask(), "gene walk = netlist walk");
             let active = c.decode_active();
             assert!(equivalent(&nl, &active));
         }

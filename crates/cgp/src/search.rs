@@ -47,7 +47,9 @@ pub struct EvolutionResult {
     pub best_fitness: f64,
     /// Generations executed.
     pub iterations: u64,
-    /// Fitness evaluations spent (`1 + seeds + λ·iterations`).
+    /// Candidates resolved, `1 + seeds + λ·iterations`: every offspring
+    /// counts, including those [`FitnessFn::lower_bound`] settled without
+    /// an `eval` call, so the count does not depend on the bound.
     pub evaluations: u64,
     /// `(iteration, fitness)` at every strict improvement.
     pub history: Vec<(u64, f64)>,
@@ -97,6 +99,22 @@ pub trait FitnessFn: Sync {
         let _ = fit;
         self.rebase(parent);
     }
+
+    /// A cheap lower bound on [`eval`](FitnessFn::eval)`(c)`: it must
+    /// never order after the fitness under [`f64::total_cmp`]. The
+    /// evolution loop uses it to skip `eval` for offspring that can
+    /// neither be promoted nor beat an already-scored sibling; selection
+    /// is the same as if every offspring had been scored.
+    ///
+    /// Defaults to the least `f64` under `total_cmp`, a negative NaN that
+    /// orders below `f64::NEG_INFINITY`. `-∞` itself would not do: it
+    /// orders after the negative NaNs that arithmetic can produce (e.g.
+    /// `0.0 * f64::INFINITY` on x86), and such a fitness is the best
+    /// offspring under `total_cmp`.
+    fn lower_bound(&self, c: &Chromosome) -> f64 {
+        let _ = c;
+        f64::from_bits(u64::MAX)
+    }
 }
 
 impl<F: Fn(&Chromosome) -> f64 + Sync> FitnessFn for F {
@@ -108,15 +126,22 @@ impl<F: Fn(&Chromosome) -> f64 + Sync> FitnessFn for F {
 /// Runs the `(1 + λ)` strategy from `seed_parent`, minimizing `fitness`.
 ///
 /// Each generation clones the parent λ times, mutates every clone with up
-/// to `h` gene redraws, evaluates all offspring and promotes the best
-/// offspring whose fitness is **less than or equal to** the parent's — the
+/// to `h` gene redraws and promotes the best offspring (the earliest on
+/// ties) if its fitness is **less than or equal to** the parent's — the
 /// neutral genetic drift that CGP's redundant representation is designed
 /// for (paper §III-C).
 ///
-/// With `parallel` set, offspring are evaluated on a persistent
-/// [`apx_pool`] worker pool whose λ threads are spawned once and reused
-/// for every generation of the run; results come back in offspring order,
-/// so parallel and sequential runs are bit-for-bit identical.
+/// Offspring are resolved branch-and-bound: they are visited in order of
+/// [`FitnessFn::lower_bound`], and `eval` runs only on an offspring that
+/// could still be promoted and still beat the best sibling scored so far.
+/// The promoted chromosome is exactly the one scoring every offspring
+/// would pick.
+///
+/// With `parallel` set, the offspring whose bound rules out promotion are
+/// dropped and the rest are evaluated on a persistent [`apx_pool`] worker
+/// pool whose λ threads are spawned once and reused for every generation
+/// of the run; results come back in offspring order, so parallel and
+/// sequential runs are bit-for-bit identical.
 ///
 /// `fitness` may return `f64::INFINITY` to reject a candidate outright
 /// (Eq. 1 does exactly that when the WMED budget is violated).
@@ -194,6 +219,54 @@ where
     }
 }
 
+/// Sequential branch-and-bound selection: visits the offspring in
+/// `(bound, index)` order and scores one only while it could still be
+/// promoted and still beat the best `(fitness, index)` scored so far.
+///
+/// Returns the best scored offspring. Whenever some offspring can be
+/// promoted, that is the best of all offspring; otherwise it is either
+/// `None` or an offspring that cannot be promoted either.
+fn branch_and_bound<F>(
+    mut offspring: Vec<Chromosome>,
+    bounds: &[f64],
+    parent_fit: f64,
+    fitness: &F,
+) -> Option<(Chromosome, f64)>
+where
+    F: FitnessFn,
+{
+    let mut order: Vec<usize> = (0..offspring.len()).collect();
+    // A stable sort: equal bounds stay in index order.
+    order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]));
+    let mut best: Option<(usize, f64)> = None;
+    for i in order {
+        let bound = bounds[i];
+        // Every offspring from here on scores at least `bound`, so none
+        // can be promoted …
+        if cannot_promote(bound, parent_fit) {
+            break;
+        }
+        // … or beat the best so far, nor tie it at an earlier index.
+        if best.is_some_and(|(bi, bf)| bound.total_cmp(&bf).then(i.cmp(&bi)).is_gt()) {
+            break;
+        }
+        let fit = fitness.eval(&offspring[i]);
+        debug_assert!(bound.total_cmp(&fit).is_le(), "lower bound {bound} exceeds fitness {fit}");
+        if best.is_none_or(|(bi, bf)| fit.total_cmp(&bf).then(i.cmp(&bi)).is_lt()) {
+            best = Some((i, fit));
+        }
+    }
+    best.map(|(i, fit)| (offspring.swap_remove(i), fit))
+}
+
+/// Whether an offspring whose fitness is at least `bound` (under
+/// `total_cmp`) is sure to fail the `fitness <= parent_fit` promotion
+/// test. Never true for a NaN bound or parent, which is merely
+/// conservative.
+fn cannot_promote(bound: f64, parent_fit: f64) -> bool {
+    bound > parent_fit
+}
+
 /// The selected initial parent handed to the generation loop.
 struct Start {
     parent: Chromosome,
@@ -234,30 +307,32 @@ where
             mutate(&mut child, config.mutations, &mut rng);
             offspring.push(child);
         }
-        let mut scored: Vec<(Chromosome, f64)> = match pool {
-            Some(pool) => pool.map(offspring),
-            None => offspring
-                .into_iter()
-                .map(|child| {
-                    let fit = fitness.eval(&child);
-                    (child, fit)
-                })
-                .collect(),
-        };
         evaluations += config.lambda as u64;
-        // Best offspring; ties broken toward the earliest (deterministic).
-        let (best_idx, best_fit) = scored
-            .iter()
-            .enumerate()
-            .map(|(i, (_, fit))| (i, *fit))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("lambda >= 1");
+        let bounds: Vec<f64> = offspring.iter().map(|c| fitness.lower_bound(c)).collect();
+        // The best scored offspring under `(fitness, index)` order, or
+        // `None` when the bounds ruled out every offspring.
+        let best = match pool {
+            Some(pool) => {
+                // An offspring whose bound exceeds the parent's fitness
+                // cannot be promoted; were it the best, no sibling could
+                // be promoted either, so dropping it changes nothing.
+                let survivors: Vec<Chromosome> = offspring
+                    .into_iter()
+                    .zip(&bounds)
+                    .filter(|&(_, &bound)| !cannot_promote(bound, parent_fit))
+                    .map(|(child, _)| child)
+                    .collect();
+                // `min_by` keeps the first of equal minima: the earliest.
+                pool.map(survivors).into_iter().min_by(|a, b| a.1.total_cmp(&b.1))
+            }
+            None => branch_and_bound(offspring, &bounds, parent_fit, fitness),
+        };
         // Neutral drift: equal fitness replaces the parent.
-        if best_fit <= parent_fit {
+        if let Some((child, best_fit)) = best.filter(|&(_, fit)| fit <= parent_fit) {
             if best_fit < parent_fit && config.keep_history {
                 history.push((iter, best_fit));
             }
-            parent = scored.swap_remove(best_idx).0;
+            parent = child;
             parent_fit = best_fit;
             fitness.rebase_scored(&parent, parent_fit);
         }

@@ -202,6 +202,19 @@ impl FitnessFn for Eq1Fitness {
     fn rebase_scored(&self, parent: &Chromosome, fit: f64) {
         self.rebase_impl(parent, Some(fit));
     }
+
+    /// The area of `chromosome`'s active cone, priced from the genes
+    /// without building a netlist: [`area_of`]'s terms, summed in the same
+    /// (grid) order, so the bound is bitwise equal to the fitness of every
+    /// feasible chromosome and below the `∞` of every other.
+    fn lower_bound(&self, chromosome: &Chromosome) -> f64 {
+        let active = chromosome.active_mask();
+        let ni = chromosome.num_inputs();
+        (0..chromosome.cols())
+            .filter(|&k| active[ni + k])
+            .map(|k| self.tech.cell(chromosome.node_kind(k)).area_um2)
+            .sum()
+    }
 }
 
 impl Eq1Fitness {
@@ -326,6 +339,96 @@ mod tests {
         assert_eq!(a.best, b.best);
         assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
         assert_eq!(a.evaluations, b.evaluations);
+        let bits = |h: &[(u64, f64)]| h.iter().map(|&(i, f)| (i, f.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&a.history), bits(&b.history));
+    }
+
+    #[test]
+    fn lower_bound_is_the_area_of_every_feasible_mutant() {
+        // Branch-and-bound selection relies on `lower_bound <= fitness`,
+        // and on bitwise equality when the mutant is feasible: a one-ulp
+        // gap could skip the offspring that should have been promoted.
+        // Checked on mutant chains (so the grid drifts away from the
+        // seed) through both the stateless and the incremental path.
+        use apx_cgp::mutate;
+        for (w, sigma) in [(6u32, 10.0), (8, 20.0)] {
+            let seed = chrom_of(&array_multiplier(w));
+            let pmf = Pmf::half_normal(w, sigma);
+            let evaluator = Arc::new(CircuitEvaluator::new(w, false, &pmf).unwrap());
+            let mut feasible = 0;
+            for (t, thr) in [1e-4, 1e-2, 0.2].into_iter().enumerate() {
+                let fit = Eq1Fitness::with_evaluator(
+                    Arc::clone(&evaluator),
+                    TechLibrary::nangate45(),
+                    thr,
+                );
+                let mut rng = apx_rng::Xoshiro256::from_seed(u64::from(w) * 10 + t as u64);
+                let mut parent = seed.clone();
+                for rebased in [false, true] {
+                    if rebased {
+                        fit.rebase(&parent);
+                    }
+                    for h in 1..=12 {
+                        let mut child = parent.clone();
+                        mutate(&mut child, 1 + h % 5, &mut rng);
+                        let exact = fit.of(&child);
+                        assert_eq!(fit.eval(&child).to_bits(), exact.to_bits());
+                        let bound = fit.lower_bound(&child);
+                        assert!(bound <= exact, "w{w} thr {thr}: bound {bound} > {exact}");
+                        if exact.is_finite() {
+                            assert_eq!(bound.to_bits(), exact.to_bits(), "w{w} thr {thr}");
+                            feasible += 1;
+                            if !rebased {
+                                parent = child;
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(feasible > 10, "w{w}: {feasible} feasible mutants exercised equality");
+        }
+    }
+
+    #[test]
+    fn branch_and_bound_skips_evals_without_changing_the_trajectory() {
+        use apx_cgp::{evolve, EvolutionConfig};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Counts `eval` calls and forwards everything else.
+        struct Counted {
+            inner: Eq1Fitness,
+            evals: AtomicU64,
+        }
+        impl FitnessFn for &Counted {
+            fn eval(&self, c: &Chromosome) -> f64 {
+                self.evals.fetch_add(1, Ordering::Relaxed);
+                self.inner.eval(c)
+            }
+            fn rebase(&self, parent: &Chromosome) {
+                self.inner.rebase(parent);
+            }
+            fn rebase_scored(&self, parent: &Chromosome, fit: f64) {
+                self.inner.rebase_scored(parent, fit);
+            }
+            fn lower_bound(&self, c: &Chromosome) -> f64 {
+                self.inner.lower_bound(c)
+            }
+        }
+
+        let pmf = Pmf::half_normal(8, 20.0);
+        let fit = Eq1Fitness::new(8, false, &pmf, TechLibrary::nangate45(), 1e-3).unwrap();
+        let seed = chrom_of(&array_multiplier(8));
+        let cfg = EvolutionConfig { max_iterations: 60, seed: 3, ..EvolutionConfig::default() };
+        let stateless = fit.clone();
+        let counted = Counted { inner: fit, evals: AtomicU64::new(0) };
+        let a = evolve(&seed, &counted, &cfg);
+        let b = evolve(&seed, move |c: &Chromosome| stateless.of(c), &cfg);
+        let unpruned = 1 + cfg.lambda as u64 * cfg.max_iterations;
+        let evals = counted.evals.load(Ordering::Relaxed);
+        assert!(evals < unpruned, "{evals} eval calls, {unpruned} without the bound");
+        assert_eq!((a.evaluations, b.evaluations), (unpruned, unpruned));
+        assert_eq!(a.best, b.best);
+        assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
         let bits = |h: &[(u64, f64)]| h.iter().map(|&(i, f)| (i, f.to_bits())).collect::<Vec<_>>();
         assert_eq!(bits(&a.history), bits(&b.history));
     }

@@ -89,7 +89,8 @@ pub struct EvolvedCircuit {
     pub stats: ErrorStats,
     /// Physical estimate under the flow's distribution.
     pub estimate: CircuitEstimate,
-    /// Fitness evaluations spent evolving it.
+    /// Candidates resolved evolving it
+    /// ([`apx_cgp::EvolutionResult::evaluations`]).
     pub evaluations: u64,
 }
 

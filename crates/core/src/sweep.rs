@@ -179,7 +179,11 @@ pub struct SweepStats {
     /// (including evaluations a previous run spent on now-cached tasks).
     pub total_evaluations: u64,
     /// Fitness evaluations actually spent by *this* run (cache misses
-    /// only) — zero for a fully warm run.
+    /// only) — zero for a fully warm run. Like
+    /// [`apx_cgp::EvolutionResult::evaluations`], this counts offspring
+    /// *resolved*, λ per generation, including those the Eq. 1 area bound
+    /// settled without a WMED pass, so the value is independent of the
+    /// bound (cache entries and CSVs carry it).
     pub computed_evaluations: u64,
     /// [`SweepStats::rate`] of `computed_evaluations` over
     /// `wall_seconds`: the throughput of the work this run performed. A

@@ -14,8 +14,8 @@
 //!
 //! * **Workers are spawned once** per scope and stay parked between
 //!   batches, so a CGP run reuses the same threads across all generations.
-//! * **Chunked work stealing**: an atomic cursor hands out index ranges;
-//!   fast workers automatically absorb the slack of slow ones.
+//! * **Dynamic claiming**: an atomic cursor hands out one task per claim,
+//!   so fast workers absorb the slack of slow ones down to the last task.
 //! * **Per-slot result writes**: every task writes its result into its own
 //!   slot — no shared lock on the result vector, and results come back in
 //!   task order regardless of scheduling (deterministic output).
@@ -94,22 +94,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 struct Job<T, R> {
     tasks: Vec<Mutex<Option<T>>>,
     slots: Vec<Mutex<Option<Result<R, TaskPanic>>>>,
-    /// Next unclaimed task index; workers grab `chunk`-sized ranges.
+    /// Next unclaimed task index.
     cursor: AtomicUsize,
-    chunk: usize,
     completed: AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
 
 impl<T, R> Job<T, R> {
-    fn new(tasks: Vec<T>, chunk: usize) -> Self {
+    fn new(tasks: Vec<T>) -> Self {
         let n = tasks.len();
         Job {
             tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicUsize::new(0),
-            chunk: chunk.max(1),
             completed: AtomicUsize::new(0),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
@@ -163,28 +161,26 @@ impl<T: Send, R: Send> Shared<'_, T, R> {
         }
     }
 
-    /// Claims chunks off the job's cursor until the batch is exhausted.
-    /// Runs on workers and on the submitting thread alike.
+    /// Claims tasks off the job's cursor, one at a time, until the batch
+    /// is exhausted. Runs on workers and on the submitting thread alike.
     fn run_job(&self, job: &Job<T, R>) {
         let n = job.tasks.len();
         loop {
-            let start = job.cursor.fetch_add(job.chunk, Ordering::Relaxed);
-            if start >= n {
+            let i = job.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
                 return;
             }
-            for i in start..(start + job.chunk).min(n) {
-                let task = job.tasks[i]
-                    .lock()
-                    .expect("task slot is never poisoned")
-                    .take()
-                    .expect("each task index is claimed exactly once");
-                let result = catch_unwind(AssertUnwindSafe(|| (self.worker)(i, task)))
-                    .map_err(|payload| TaskPanic { index: i, message: panic_message(payload) });
-                *job.slots[i].lock().expect("result slot is never poisoned") = Some(result);
-                if job.completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                    *job.done.lock().expect("done flag is never poisoned") = true;
-                    job.done_cv.notify_all();
-                }
+            let task = job.tasks[i]
+                .lock()
+                .expect("task slot is never poisoned")
+                .take()
+                .expect("each task index is claimed exactly once");
+            let result = catch_unwind(AssertUnwindSafe(|| (self.worker)(i, task)))
+                .map_err(|payload| TaskPanic { index: i, message: panic_message(payload) });
+            *job.slots[i].lock().expect("result slot is never poisoned") = Some(result);
+            if job.completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
+                *job.done.lock().expect("done flag is never poisoned") = true;
+                job.done_cv.notify_all();
             }
         }
     }
@@ -216,9 +212,11 @@ impl<T: Send, R: Send> Executor<'_, T, R> {
     /// Runs one batch: applies the scope's worker function to every task,
     /// in parallel, and returns the results **in task order**.
     ///
-    /// The submitting thread participates in the work, so a 1-thread pool
-    /// degenerates to a plain in-order loop with zero synchronization
-    /// traffic beyond the per-slot writes.
+    /// Tasks start in index order, one per claim off a shared cursor: a
+    /// free thread always takes the next unstarted task, so a slow task
+    /// never holds back queued ones. The submitting thread participates in
+    /// the work, so a 1-thread pool degenerates to a plain in-order loop
+    /// with zero synchronization traffic beyond the per-slot writes.
     ///
     /// # Errors
     ///
@@ -229,10 +227,7 @@ impl<T: Send, R: Send> Executor<'_, T, R> {
         if n == 0 {
             return Ok(Vec::new());
         }
-        // ~4 chunks per thread balances stealing granularity against
-        // cursor traffic; tiny batches degrade to one task per claim.
-        let chunk = (n / (self.shared.threads * 4)).max(1);
-        let job = Arc::new(Job::new(tasks, chunk));
+        let job = Arc::new(Job::new(tasks));
         if self.shared.threads > 1 {
             let mut inbox = self.shared.inbox.lock().expect("inbox is never poisoned");
             inbox.epoch += 1;
